@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check race bench bench-json cover serve chaos pool-smoke clean
+.PHONY: all build test check race bench bench-json cover serve chaos pool-smoke perfbench-smoke clean
 
 all: build test
 
@@ -52,6 +52,14 @@ chaos:
 # mid-campaign), and the pool metrics must show cross-node cache hits.
 pool-smoke:
 	$(GO) run ./cmd/ensembled -smoke-pool
+
+# perfbench-smoke vets and tests the benchmark module, which is its own
+# Go module (so `go test ./...` here never compiles it against API
+# changes), then runs one short traced warm-resubmit campaign loop. That
+# run enforces the benchmark's correctness and shape gates, not timings.
+perfbench-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	bash perfbench/run.sh --workload warm-resubmit --seed 1 --seconds 3 --trace 1
 
 cover:
 	$(GO) test -cover ./...

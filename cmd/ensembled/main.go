@@ -130,7 +130,7 @@ func main() {
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		pprofOn     = flag.Bool("pprof", false, "expose GET /debug/pprof/* runtime profiles")
 		noTrace     = flag.Bool("no-trace", false, "disable distributed tracing")
-		traceTraces = flag.Int("trace-traces", 0, "max retained traces (0 = default 1024)")
+		traceTraces = flag.Int("trace-traces", 0, "max retained traces (0 = default 128)")
 		traceSpans  = flag.Int("trace-spans", 0, "max retained spans per trace (0 = default 8192)")
 		nodeID      = flag.String("node-id", "", "pool identity of this node (enables the fabric; default: the bound listen address)")
 		advertise   = flag.String("advertise", "", "base URL peers reach this node at (enables the fabric; default: http://<bound address>)")
@@ -217,12 +217,10 @@ func run(cfg serverConfig) error {
 		}
 	}
 
-	// The obs recorder keeps the service's counters as a virtual-time
-	// event log; the sink bridges the same emissions into the Prometheus
-	// registry so one scrape covers both telemetry tiers.
-	start := time.Now()
-	rec := obs.NewRecorder(func() float64 { return time.Since(start).Seconds() })
-	rec.SetSink(telemetry.NewObsSink(reg))
+	// The sink-only obs recorder bridges the service's counters into the
+	// Prometheus registry (so one scrape covers both telemetry tiers)
+	// without keeping an event log that would grow with every submit.
+	rec := obs.NewSinkRecorder(telemetry.NewObsSink(reg))
 
 	var tracer *tracing.Tracer
 	if !cfg.noTrace {

@@ -66,6 +66,14 @@ func (a *accountant) lookup(id string) (*accounting.Ledger, bool) {
 	return l, ok
 }
 
+// drop forgets a campaign's ledger; the HTTP server calls it when it
+// evicts a finished campaign.
+func (a *accountant) drop(id string) {
+	a.mu.Lock()
+	delete(a.campaigns, id)
+	a.mu.Unlock()
+}
+
 // noteRunInfo stashes how an execution was served (fast path, plan
 // reuse) until the job's finish — or the forward handler — claims it.
 func (a *accountant) noteRunInfo(hash string, info runtime.RunInfo) {

@@ -6,7 +6,7 @@
 // hit is credited to the tier that served it, and the totals roll up per
 // campaign, per node, and — via Merge — per fleet.
 //
-// The package is dependency-free (stdlib plus the obs and trace layers it
+// The package is dependency-free (stdlib plus the trace layer it
 // accounts for) and deterministic: a job ledger is a pure function of the
 // execution trace, and snapshot rollups sum entries in sorted-hash order
 // so float accumulation order is independent of job completion order.
@@ -18,7 +18,6 @@ import (
 	"sort"
 	"sync"
 
-	"ensemblekit/internal/obs"
 	"ensemblekit/internal/trace"
 )
 
@@ -129,110 +128,73 @@ const (
 	idxNetwork
 )
 
-// classState maps a trace stage name (obs StageBegin/StageEnd Detail) to
-// the ledger class it charges and whether the time is busy. The mapping
-// follows the paper's six-stage cycle: S and I^S are the simulation's
-// compute and coupling-idle time, W is the producer-side put into the
-// DTL, R is the consumer-side get, A and I^A are the analysis's compute
-// and idle time.
-func classState(stage string) (class int, busy bool, ok bool) {
+// classState maps a trace stage to the ledger class it charges and
+// whether the time is busy. The mapping follows the paper's six-stage
+// cycle: S and I^S are the simulation's compute and coupling-idle time,
+// W is the producer-side put into the DTL, R is the consumer-side get, A
+// and I^A are the analysis's compute and idle time.
+func classState(stage trace.Stage) (class int, busy bool, ok bool) {
 	switch stage {
-	case trace.StageS.String():
+	case trace.StageS:
 		return idxSimulation, true, true
-	case trace.StageIS.String():
+	case trace.StageIS:
 		return idxSimulation, false, true
-	case trace.StageW.String():
+	case trace.StageW:
 		return idxStaging, true, true
-	case trace.StageR.String():
+	case trace.StageR:
 		return idxNetwork, true, true
-	case trace.StageA.String():
+	case trace.StageA:
 		return idxAnalysis, true, true
-	case trace.StageIA.String():
+	case trace.StageIA:
 		return idxAnalysis, false, true
 	}
 	return 0, false, false
 }
 
-// Collector folds an obs event stream into a JobLedger using
-// obs.Utilization accumulators: each (class, state) pair keeps a
-// concurrency timeline in cores, raised on StageBegin and lowered on
-// StageEnd, and the accumulated area is the class's core-seconds. It is
-// built for post-hoc streams reconstructed with obs.FromTrace, whose
-// stable ordering guarantees a component's ResourceAcquire (carrying its
-// core count) immediately precedes its ProcStart at the same timestamp.
-type Collector struct {
-	pendingCores float64
-	cores        map[string]float64 // component name -> cores
-	acc          [4][2]obs.Utilization
-}
-
-// NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{cores: make(map[string]float64)}
-}
-
-// accFor returns the accumulator for a stage name, or nil for stages the
-// ledger does not account (none exist today).
-func (c *Collector) accFor(stage string) *obs.Utilization {
-	class, busy, ok := classState(stage)
-	if !ok {
-		return nil
-	}
-	state := 1 // idle
-	if busy {
-		state = 0
-	}
-	return &c.acc[class][state]
-}
-
-// Observe folds one event into the collector.
-func (c *Collector) Observe(e obs.Event) {
-	switch e.Kind {
-	case obs.ResourceAcquire:
-		c.pendingCores = e.Value
-	case obs.ProcStart:
-		c.cores[e.Subject] = c.pendingCores
-		c.pendingCores = 0
-	case obs.StageBegin:
-		if u := c.accFor(e.Detail); u != nil {
-			u.Add(e.T, c.cores[e.Subject])
-		}
-	case obs.StageEnd:
-		if u := c.accFor(e.Detail); u != nil {
-			u.Add(e.T, -c.cores[e.Subject])
-		}
-	}
-}
-
-// Ledger returns the accumulated core-seconds. Every StageEnd advances
-// its accumulator, so the areas are complete without a closing step.
-func (c *Collector) Ledger() JobLedger {
+// FromTrace builds a job ledger from an execution trace in one pass over
+// its stage records: each stage charges its component's cores times the
+// stage's extent (End - Start) to the class and state classState gives
+// it. A component with no nodes holds no cores, matching the obs event
+// stream, which emits no ResourceAcquire for it. The result is a pure
+// function of the trace: byte-identical traces (the engine's determinism
+// guarantee) yield bit-identical ledgers.
+func FromTrace(tr *trace.EnsembleTrace) JobLedger {
 	var l JobLedger
+	if tr == nil {
+		return l
+	}
 	dst := l.classes()
-	for i := range c.acc {
-		dst[i].Busy = c.acc[i][0].Area()
-		dst[i].Idle = c.acc[i][1].Area()
+	for _, m := range tr.Members {
+		if m.Simulation != nil {
+			addComponent(dst, m.Simulation)
+		}
+		for _, a := range m.Analyses {
+			addComponent(dst, a)
+		}
 	}
 	return l
 }
 
-// FromEvents builds a job ledger from an obs event stream.
-func FromEvents(events []obs.Event) JobLedger {
-	c := NewCollector()
-	for _, e := range events {
-		c.Observe(e)
+// addComponent charges one component's stages to the ledger's splits.
+func addComponent(dst [4]*Split, c *trace.ComponentTrace) {
+	if len(c.Nodes) == 0 {
+		return
 	}
-	return c.Ledger()
-}
-
-// FromTrace builds a job ledger from an execution trace. The result is a
-// pure function of the trace: byte-identical traces (the engine's
-// determinism guarantee) yield bit-identical ledgers.
-func FromTrace(tr *trace.EnsembleTrace) JobLedger {
-	if tr == nil {
-		return JobLedger{}
+	cores := float64(c.Cores)
+	for _, step := range c.Steps {
+		for _, st := range step.Stages {
+			class, busy, ok := classState(st.Stage)
+			if !ok {
+				continue
+			}
+			coreSec := cores * (st.End() - st.Start)
+			if busy {
+				dst[class].Busy += coreSec
+			} else {
+				dst[class].Idle += coreSec
+			}
+		}
 	}
-	return FromEvents(obs.FromTrace(tr))
 }
 
 // WallClock accumulates the real-time cost of running a scope's jobs.
@@ -278,21 +240,28 @@ func (s *Saved) add(o Saved) {
 	s.FastPath += o.FastPath
 }
 
-// tierField returns the addressed tier bucket, or nil for unknown tiers.
-func (s *Saved) tierField(tier string) *float64 {
-	switch tier {
-	case TierMemory:
-		return &s.Memory
-	case TierDisk:
-		return &s.Disk
-	case TierFleet:
-		return &s.Fleet
-	case TierPlanCache:
-		return &s.PlanCache
-	case TierFastPath:
-		return &s.FastPath
+// tierFields returns the tier buckets in tierNames order.
+func (s *Saved) tierFields() [numTiers]*float64 {
+	return [numTiers]*float64{&s.Memory, &s.Disk, &s.Fleet, &s.PlanCache, &s.FastPath}
+}
+
+// tierNames lists every tier in Saved's field order. The cache tiers come
+// first, so an entry's first numCacheTiers counts are its cache serves.
+var tierNames = [...]string{TierMemory, TierDisk, TierFleet, TierPlanCache, TierFastPath}
+
+const (
+	numTiers      = len(tierNames)
+	numCacheTiers = 3 // memory, disk, fleet: CacheTiers
+)
+
+// tierIndex returns the index of a tier name, or -1 for unknown tiers.
+func tierIndex(tier string) int {
+	for i, name := range tierNames {
+		if name == tier {
+			return i
+		}
 	}
-	return nil
+	return -1
 }
 
 // Simulated is the deterministic section of a snapshot: core-seconds in
@@ -355,7 +324,7 @@ func Merge(snaps []Snapshot) Snapshot {
 type entry struct {
 	ledger JobLedger
 	spent  int64
-	saved  map[string]int64
+	saved  [numTiers]int64 // by tier index
 }
 
 // Ledger is a thread-safe rollup of job outcomes for one scope. Records
@@ -376,7 +345,7 @@ func NewLedger() *Ledger {
 func (l *Ledger) entryLocked(hash string, jl JobLedger) *entry {
 	e, ok := l.entries[hash]
 	if !ok {
-		e = &entry{ledger: jl, saved: make(map[string]int64)}
+		e = &entry{ledger: jl}
 		l.entries[hash] = e
 	}
 	return e
@@ -392,12 +361,13 @@ func (l *Ledger) RecordSpent(hash string, jl JobLedger) {
 // RecordSaved credits one submission of hash to tier. Unknown tiers are
 // ignored.
 func (l *Ledger) RecordSaved(hash string, jl JobLedger, tier string) {
-	if (&Saved{}).tierField(tier) == nil {
+	i := tierIndex(tier)
+	if i < 0 {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.entryLocked(hash, jl).saved[tier]++
+	l.entryLocked(hash, jl).saved[i]++
 }
 
 // RecordWall accumulates worker execution and queue-wait wall seconds.
@@ -427,6 +397,7 @@ func (l *Ledger) Snapshot() Snapshot {
 	}
 	sort.Strings(hashes)
 	snap := Snapshot{Jobs: len(hashes), WallClock: l.wall}
+	saved := snap.Simulated.Saved.tierFields()
 	for _, h := range hashes {
 		e := l.entries[h]
 		if e.spent > 0 {
@@ -434,15 +405,13 @@ func (l *Ledger) Snapshot() Snapshot {
 			snap.Simulated.Spent.addScaled(e.ledger, float64(e.spent))
 		}
 		total := e.ledger.Total()
-		for _, tier := range [5]string{TierMemory, TierDisk, TierFleet, TierPlanCache, TierFastPath} {
-			n := e.saved[tier]
-			if n == 0 {
-				continue
+		for i, f := range saved {
+			if n := e.saved[i]; n != 0 {
+				*f += total * float64(n)
 			}
-			*snap.Simulated.Saved.tierField(tier) += total * float64(n)
 		}
-		for _, tier := range CacheTiers {
-			snap.CacheServed += e.saved[tier]
+		for _, n := range e.saved[:numCacheTiers] {
+			snap.CacheServed += n
 		}
 	}
 	snap.Simulated.SpentTotal = snap.Simulated.Spent.Total()

@@ -2,9 +2,15 @@ package accounting
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 
+	"ensemblekit/internal/cluster"
+	"ensemblekit/internal/faults"
+	"ensemblekit/internal/obs"
+	"ensemblekit/internal/placement"
+	"ensemblekit/internal/runtime"
 	"ensemblekit/internal/trace"
 )
 
@@ -58,6 +64,167 @@ func TestFromTraceClassAttribution(t *testing.T) {
 	if l.Busy()+l.Idle() != l.Total() {
 		t.Fatalf("Busy+Idle = %v, want %v", l.Busy()+l.Idle(), l.Total())
 	}
+	// The cache-hit path recomputes the ledger on every hit, so the fold
+	// must not allocate.
+	tr := syntheticTrace()
+	if n := testing.AllocsPerRun(10, func() { FromTrace(tr) }); n != 0 {
+		t.Fatalf("FromTrace allocates %v times per call, want 0", n)
+	}
+}
+
+// TestFromTraceNodelessComponentHoldsNoCores pins the no-nodes rule: a
+// component that occupies no node acquires no cores, so its stages
+// charge nothing however many cores it declares.
+func TestFromTraceNodelessComponentHoldsNoCores(t *testing.T) {
+	tr := syntheticTrace()
+	want := FromTrace(tr)
+	an := *tr.Members[0].Analyses[0]
+	an.Name, an.Nodes, an.Cores = "m0.a1", nil, 8
+	tr.Members[0].Analyses = append(tr.Members[0].Analyses, &an)
+	if got := FromTrace(tr); got != want {
+		t.Fatalf("ledger with a node-less component = %+v, want %+v", got, want)
+	}
+	if got := referenceLedger(tr); got != want {
+		t.Fatalf("reference ledger with a node-less component = %+v, want %+v", got, want)
+	}
+}
+
+// collector is the reference ledger: it folds the trace's obs event
+// stream (obs.FromTrace) through per-(class, state) obs.Utilization
+// timelines, raised on StageBegin and lowered on StageEnd by the
+// component's cores, and reads each class's core-seconds back as the
+// timeline's integral. obs.FromTrace's stable ordering puts a
+// component's ResourceAcquire (carrying its core count) immediately
+// before its ProcStart at the same timestamp.
+type collector struct {
+	pendingCores float64
+	cores        map[string]float64 // component name -> cores
+	acc          [4][2]obs.Utilization
+}
+
+func (c *collector) observe(e obs.Event) {
+	switch e.Kind {
+	case obs.ResourceAcquire:
+		c.pendingCores = e.Value
+	case obs.ProcStart:
+		c.cores[e.Subject] = c.pendingCores
+		c.pendingCores = 0
+	case obs.StageBegin:
+		if u := c.accFor(e.Detail); u != nil {
+			u.Add(e.T, c.cores[e.Subject])
+		}
+	case obs.StageEnd:
+		if u := c.accFor(e.Detail); u != nil {
+			u.Add(e.T, -c.cores[e.Subject])
+		}
+	}
+}
+
+// accFor returns the timeline a stage name charges, or nil.
+func (c *collector) accFor(detail string) *obs.Utilization {
+	for s := trace.StageS; s <= trace.StageIA; s++ {
+		if s.String() != detail {
+			continue
+		}
+		class, busy, ok := classState(s)
+		if !ok {
+			return nil
+		}
+		state := 1
+		if busy {
+			state = 0
+		}
+		return &c.acc[class][state]
+	}
+	return nil
+}
+
+// referenceLedger computes a job ledger the event-stream way.
+func referenceLedger(tr *trace.EnsembleTrace) JobLedger {
+	c := &collector{cores: make(map[string]float64)}
+	for _, e := range obs.FromTrace(tr) {
+		c.observe(e)
+	}
+	integral := func(u *obs.Utilization) float64 {
+		t0, t1 := u.Span()
+		return u.MeanOver(t0, t1) * (t1 - t0)
+	}
+	var l JobLedger
+	dst := l.classes()
+	for i := range c.acc {
+		dst[i].Busy = integral(&c.acc[i][0])
+		dst[i].Idle = integral(&c.acc[i][1])
+	}
+	return l
+}
+
+// TestFromTraceMatchesEventReference requires the direct stage-record
+// fold to agree with the event-stream reference on every ledger field,
+// within 1e-9 relative, across the Table 2 and Table 4 placements, two
+// seeds, three jitter levels, and with and without a 5% DIMES staging
+// fault rate recovered by three backed-off retries and member drops.
+func TestFromTraceMatchesEventReference(t *testing.T) {
+	var configs []placement.Placement
+	configs = append(configs, placement.ConfigsTable2()...)
+	configs = append(configs, placement.ConfigsTable4()...)
+	plans := []*faults.Plan{nil, {
+		Name:    "dimes-flaky",
+		Staging: []faults.StagingFault{{Tier: runtime.TierDimes, Rate: 0.05}},
+	}}
+	fields, exact, faulted := 0, 0, 0
+	worst := 0.0
+	for _, p := range configs {
+		spec := cluster.Cori(1)
+		for _, n := range p.UsedNodes() {
+			if n+1 > spec.Nodes {
+				spec.Nodes = n + 1
+			}
+		}
+		es := runtime.SpecForPlacement(p, runtime.PaperSteps)
+		for _, seed := range []int64{1, 2} {
+			for _, jitter := range []float64{0, 0.02, 0.05} {
+				var clean JobLedger
+				for _, plan := range plans {
+					opts := runtime.SimOptions{Jitter: jitter, Seed: seed, Faults: plan}
+					if plan != nil {
+						opts.Resilience = runtime.Resilience{StagingRetries: 3, RetryBackoff: 0.05, Mode: runtime.DropMember}
+					}
+					name := fmt.Sprintf("%s/seed=%d/jitter=%g/faults=%v", p.Name, seed, jitter, plan != nil)
+					tr, err := runtime.RunSimulated(spec, p, es, opts)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					l := FromTrace(tr)
+					if plan == nil {
+						clean = l
+					} else if l != clean {
+						faulted++
+					}
+					got, want := l.Splits(), referenceLedger(tr).Splits()
+					for i := range got {
+						for _, pair := range [2][2]float64{{got[i].Busy, want[i].Busy}, {got[i].Idle, want[i].Idle}} {
+							fields++
+							if pair[0] == pair[1] {
+								exact++
+								continue
+							}
+							rel := math.Abs(pair[0]-pair[1]) / math.Max(math.Abs(pair[0]), math.Abs(pair[1]))
+							worst = math.Max(worst, rel)
+							if rel > 1e-9 {
+								t.Errorf("%s: %s = %v, reference %v (rel %.3g)",
+									name, Classes()[i], pair[0], pair[1], rel)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if faulted == 0 {
+		t.Fatal("the staging fault plan changed no ledger; the fault dimension exercised nothing")
+	}
+	t.Logf("%d ledger fields, %d bit-identical, worst relative difference %.3g; %d faulted runs moved the ledger",
+		fields, exact, worst, faulted)
 }
 
 func TestFromTraceNilAndEmpty(t *testing.T) {

@@ -120,7 +120,8 @@ type Server struct {
 
 	mu        sync.Mutex
 	seq       int64
-	campaigns map[string]*campaignRun
+	campaigns map[string]*campaignRun // running and the most recent finished campaigns
+	finished  retention               // finished campaign IDs kept in campaigns, oldest evicted first
 
 	// readyChecks are extra readiness gates (e.g. the pool's join state)
 	// consulted by /readyz; each returns the reasons it is blocking.
@@ -141,6 +142,26 @@ func NewServer(svc *Service) *Server {
 		latency: reg.HistogramVec("http_request_duration_seconds",
 			"HTTP request latency, by route pattern.", nil, "route"),
 		campaigns: make(map[string]*campaignRun),
+		finished:  retention{max: maxFinishedCampaigns},
+	}
+}
+
+// maxFinishedCampaigns bounds the finished campaign records (and their
+// resource ledgers) a Server keeps; older ones are evicted and answer
+// 404. Running campaigns are never evicted.
+const maxFinishedCampaigns = 128
+
+// retireCampaign marks a campaign finished for retention, evicting the
+// oldest finished campaign and its ledger beyond maxFinishedCampaigns.
+func (s *Server) retireCampaign(id string) {
+	s.mu.Lock()
+	old, evicted := s.finished.add(id)
+	if evicted {
+		delete(s.campaigns, old)
+	}
+	s.mu.Unlock()
+	if evicted {
+		s.svc.acct.drop(old)
 	}
 }
 
@@ -396,9 +417,17 @@ func (s *Server) launch(run *campaignRun, sw Sweep, total int, parent context.Co
 	go func() {
 		start := time.Now()
 		res, err := RunCampaign(runCtx, s.svc, sw)
+		if res != nil {
+			// Per-seed results and specs are never served (both are
+			// json:"-"); dropping them lets evicted jobs' results go.
+			for i := range res.Candidates {
+				res.Candidates[i].Results, res.Candidates[i].Specs = nil, nil
+			}
+		}
 		run.mu.Lock()
 		run.result, run.err = res, err
 		run.mu.Unlock()
+		s.retireCampaign(run.id)
 		close(run.done)
 		campSpan.SetError(err)
 		campSpan.End()

@@ -362,7 +362,8 @@ type Service struct {
 	work        *sync.Cond // signalled when work arrives
 	queue       jobQueue
 	inflight    map[string]*Job      // hash -> queued or running job
-	jobs        map[string]*Job      // id -> every job ever returned
+	jobs        map[string]*Job      // id -> every live job and the most recent terminal ones
+	terminal    retention            // terminal job IDs kept in jobs, oldest evicted first
 	retryTimers map[*Job]*time.Timer // jobs waiting out a retry backoff
 	cache       *resultCache
 	stats       Stats
@@ -529,6 +530,7 @@ func NewService(cfg Config) (*Service, error) {
 		journal:       jnl,
 		inflight:      make(map[string]*Job),
 		jobs:          make(map[string]*Job),
+		terminal:      retention{max: maxTerminalJobs},
 		retryTimers:   make(map[*Job]*time.Timer),
 		remoteFlights: make(map[string]*remoteFlight),
 		acct:          newAccountant(),
@@ -968,15 +970,13 @@ func (s *Service) submit(ctx context.Context, spec JobSpec, opts SubmitOptions, 
 // remain fully accounted for.
 func (s *Service) completedJobLocked(submitCtx context.Context, hash, label, campaign string, res *Result) *Job {
 	s.seq++
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
 	j := &Job{
 		ID:       fmt.Sprintf("j-%d", s.seq),
 		Hash:     hash,
 		Label:    label,
 		CacheHit: true,
 		campaign: campaign,
-		ctx:      ctx,
+		ctx:      cancelledCtx,
 		cancel:   func() {},
 		done:     make(chan struct{}),
 		svc:      s,
@@ -992,6 +992,7 @@ func (s *Service) completedJobLocked(submitCtx context.Context, hash, label, cam
 	j.span.End()
 	close(j.done)
 	s.jobs[j.ID] = j
+	s.retireLocked(j.ID)
 	// A journal-pending job resolving from the cache (the replay path,
 	// or a hit racing a restart) is terminal work: record it so the next
 	// replay skips it. Ordinary cache hits were never pending and pay no
@@ -1007,6 +1008,48 @@ func (s *Service) completedJobLocked(submitCtx context.Context, hash, label, cam
 	}
 	s.publish(j, EventCached, JobEvent{Objective: res.Objective, CacheHit: true})
 	return j
+}
+
+// cancelledCtx is the context of every cache-hit job: already done, so
+// a hit costs no context allocation.
+var cancelledCtx = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
+
+// maxTerminalJobs bounds the terminal job records a Service keeps for
+// Job lookups (GET /v1/jobs/{id}); older ones are evicted, and with them
+// the results they pin. Queued and running jobs are never evicted.
+const maxTerminalJobs = 4096
+
+// retireLocked marks a job terminal for retention, evicting the oldest
+// terminal record beyond maxTerminalJobs. Called under s.mu.
+func (s *Service) retireLocked(id string) {
+	if old, ok := s.terminal.add(id); ok {
+		delete(s.jobs, old)
+	}
+}
+
+// retention remembers the IDs of the most recent terminal records up to
+// a fixed bound, in the order they became terminal.
+type retention struct {
+	ids    []string
+	oldest int // index of the oldest ID once ids is full
+	max    int
+}
+
+// add records id and returns the ID it displaces once the bound is
+// reached (ok false while under it).
+func (r *retention) add(id string) (evicted string, ok bool) {
+	if len(r.ids) < r.max {
+		r.ids = append(r.ids, id)
+		return "", false
+	}
+	evicted = r.ids[r.oldest]
+	r.ids[r.oldest] = id
+	r.oldest = (r.oldest + 1) % len(r.ids)
+	return evicted, true
 }
 
 // publish fills the job identity fields into base and hands it to the
@@ -1361,6 +1404,7 @@ func (s *Service) finish(j *Job, res *Result, err error, status Status) {
 	if s.inflight[j.Hash] == j {
 		delete(s.inflight, j.Hash)
 	}
+	s.retireLocked(j.ID)
 	if wasRunning {
 		s.stats.Running--
 		s.metrics.running.Set(float64(s.stats.Running))

@@ -14,7 +14,7 @@ import (
 )
 
 // jobFor builds a distinct valid spec per seed.
-func jobFor(t *testing.T, seed int64) JobSpec {
+func jobFor(t testing.TB, seed int64) JobSpec {
 	t.Helper()
 	p := placement.C15()
 	es := runtime.SpecForPlacement(p, 4)

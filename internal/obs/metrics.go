@@ -80,11 +80,6 @@ func (u *Utilization) Samples() []Sample {
 	return out
 }
 
-// Area returns the exact integral of level·dt over the observed window,
-// without the divide/multiply round-trip MeanOver would introduce. This
-// is the quantity resource ledgers account in core-seconds.
-func (u *Utilization) Area() float64 { return u.area }
-
 // MeanOver returns the time-weighted mean level over [t0, t1], counting
 // the final level as holding from the last change to t1.
 func (u *Utilization) MeanOver(t0, t1 float64) float64 {

@@ -60,8 +60,8 @@ func TestUtilizationEdgeWindows(t *testing.T) {
 	if got := empty.BusyFraction(0, 10); got != 0 {
 		t.Errorf("empty BusyFraction = %v, want 0", got)
 	}
-	if got := empty.Area(); got != 0 {
-		t.Errorf("empty Area = %v, want 0", got)
+	if got := empty.area; got != 0 {
+		t.Errorf("empty area = %v, want 0", got)
 	}
 	if n := len(empty.Samples()); n != 0 {
 		t.Errorf("empty Samples = %d entries, want 0", n)
@@ -116,18 +116,18 @@ func TestUtilizationSamplesIsACopy(t *testing.T) {
 	}
 }
 
-// TestUtilizationArea pins the exact-integral accessor the ledgers use:
-// Area equals MeanOver times the window without the division round-trip.
+// TestUtilizationArea pins the exact integral the accumulator keeps:
+// area equals MeanOver times the window without the division round-trip.
 func TestUtilizationArea(t *testing.T) {
 	var u Utilization
 	u.Add(1, 4)  // 4 cores over [1,3)
 	u.Add(3, -4) // idle from 3
 	u.advance(10)
-	if got := u.Area(); !almost(got, 8) {
-		t.Errorf("Area = %v, want 8", got)
+	if got := u.area; !almost(got, 8) {
+		t.Errorf("area = %v, want 8", got)
 	}
-	if got, want := u.Area(), u.MeanOver(1, 10)*9; !almost(got, want) {
-		t.Errorf("Area = %v, MeanOver*width = %v", got, want)
+	if got, want := u.area, u.MeanOver(1, 10)*9; !almost(got, want) {
+		t.Errorf("area = %v, MeanOver*width = %v", got, want)
 	}
 }
 

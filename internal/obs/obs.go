@@ -132,9 +132,10 @@ type Event struct {
 // cooperative scheduling (exactly one process executes at a time, with
 // channel handoffs establishing happens-before edges) satisfies this.
 type Recorder struct {
-	clock  func() float64
-	events []Event
-	sink   Sink
+	clock   func() float64
+	events  []Event
+	sink    Sink
+	discard bool // sink-only: keep no event log (NewSinkRecorder)
 }
 
 // Sink receives a live mirror of the recorder's operational emissions —
@@ -168,6 +169,22 @@ func (r *Recorder) SetSink(s Sink) {
 // times explicitly.
 func NewRecorder(clock func() float64) *Recorder {
 	return &Recorder{clock: clock}
+}
+
+// NewSinkRecorder returns a recorder that forwards counter, queue-depth,
+// and gauge emissions to sink and keeps no event log: Events stays empty
+// however long it runs. A long-lived service uses it to bridge its
+// counters into a metrics registry without accumulating events nobody
+// reads.
+func NewSinkRecorder(sink Sink) *Recorder {
+	return &Recorder{sink: sink, discard: true}
+}
+
+// record appends ev to the event log unless the recorder is sink-only.
+func (r *Recorder) record(ev Event) {
+	if !r.discard {
+		r.events = append(r.events, ev)
+	}
 }
 
 // Enabled reports whether the recorder actually records.
@@ -223,7 +240,7 @@ func (r *Recorder) Emit(ev Event) {
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, ev)
+	r.record(ev)
 }
 
 // EmitNow appends ev stamped at the current clock reading.
@@ -232,7 +249,7 @@ func (r *Recorder) EmitNow(ev Event) {
 		return
 	}
 	ev.T = r.now()
-	r.events = append(r.events, ev)
+	r.record(ev)
 }
 
 // ProcStart records a process beginning execution.
@@ -240,7 +257,7 @@ func (r *Recorder) ProcStart(name string, node int) {
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, Event{T: r.now(), Kind: ProcStart, Subject: name, Node: node, Node2: NoNode})
+	r.record(Event{T: r.now(), Kind: ProcStart, Subject: name, Node: node, Node2: NoNode})
 }
 
 // ProcEnd records a process finishing.
@@ -248,7 +265,7 @@ func (r *Recorder) ProcEnd(name string, node int) {
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, Event{T: r.now(), Kind: ProcEnd, Subject: name, Node: node, Node2: NoNode})
+	r.record(Event{T: r.now(), Kind: ProcEnd, Subject: name, Node: node, Node2: NoNode})
 }
 
 // StageBegin records the start of stage on the named component.
@@ -256,7 +273,7 @@ func (r *Recorder) StageBegin(component, stage string, node int) {
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, Event{T: r.now(), Kind: StageBegin, Subject: component, Detail: stage, Node: node, Node2: NoNode})
+	r.record(Event{T: r.now(), Kind: StageBegin, Subject: component, Detail: stage, Node: node, Node2: NoNode})
 }
 
 // StageEnd records the end of stage on the named component; bytes carries
@@ -265,7 +282,7 @@ func (r *Recorder) StageEnd(component, stage string, node int, bytes float64) {
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, Event{T: r.now(), Kind: StageEnd, Subject: component, Detail: stage, Node: node, Node2: NoNode, Value: bytes})
+	r.record(Event{T: r.now(), Kind: StageEnd, Subject: component, Detail: stage, Node: node, Node2: NoNode, Value: bytes})
 }
 
 // ResourceAcquire records units taken from a counted resource.
@@ -273,7 +290,7 @@ func (r *Recorder) ResourceAcquire(resource string, node int, units float64) {
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, Event{T: r.now(), Kind: ResourceAcquire, Subject: resource, Node: node, Node2: NoNode, Value: units})
+	r.record(Event{T: r.now(), Kind: ResourceAcquire, Subject: resource, Node: node, Node2: NoNode, Value: units})
 }
 
 // ResourceRelease records units returned to a counted resource.
@@ -281,7 +298,7 @@ func (r *Recorder) ResourceRelease(resource string, node int, units float64) {
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, Event{T: r.now(), Kind: ResourceRelease, Subject: resource, Node: node, Node2: NoNode, Value: units})
+	r.record(Event{T: r.now(), Kind: ResourceRelease, Subject: resource, Node: node, Node2: NoNode, Value: units})
 }
 
 // QueueDepth samples the depth of the named queue.
@@ -289,7 +306,7 @@ func (r *Recorder) QueueDepth(queue string, depth int) {
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, Event{T: r.now(), Kind: QueueDepth, Subject: queue, Node: NoNode, Node2: NoNode, Value: float64(depth)})
+	r.record(Event{T: r.now(), Kind: QueueDepth, Subject: queue, Node: NoNode, Node2: NoNode, Value: float64(depth)})
 	if r.sink != nil {
 		r.sink.QueueDepth(queue, depth)
 	}
@@ -300,7 +317,7 @@ func (r *Recorder) PutBegin(tier string, node int, bytes int64) {
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, Event{T: r.now(), Kind: PutBegin, Subject: "dtl", Detail: tier, Node: node, Node2: NoNode, Value: float64(bytes)})
+	r.record(Event{T: r.now(), Kind: PutBegin, Subject: "dtl", Detail: tier, Node: node, Node2: NoNode, Value: float64(bytes)})
 }
 
 // PutEnd records the completion of a DTL write.
@@ -308,7 +325,7 @@ func (r *Recorder) PutEnd(tier string, node int, bytes int64) {
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, Event{T: r.now(), Kind: PutEnd, Subject: "dtl", Detail: tier, Node: node, Node2: NoNode, Value: float64(bytes)})
+	r.record(Event{T: r.now(), Kind: PutEnd, Subject: "dtl", Detail: tier, Node: node, Node2: NoNode, Value: float64(bytes)})
 }
 
 // GetBegin records the start of a DTL read from producerNode into
@@ -317,7 +334,7 @@ func (r *Recorder) GetBegin(tier string, producerNode, consumerNode int, bytes i
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, Event{T: r.now(), Kind: GetBegin, Subject: "dtl", Detail: tier, Node: producerNode, Node2: consumerNode, Value: float64(bytes)})
+	r.record(Event{T: r.now(), Kind: GetBegin, Subject: "dtl", Detail: tier, Node: producerNode, Node2: consumerNode, Value: float64(bytes)})
 }
 
 // GetEnd records the completion of a DTL read.
@@ -325,7 +342,7 @@ func (r *Recorder) GetEnd(tier string, producerNode, consumerNode int, bytes int
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, Event{T: r.now(), Kind: GetEnd, Subject: "dtl", Detail: tier, Node: producerNode, Node2: consumerNode, Value: float64(bytes)})
+	r.record(Event{T: r.now(), Kind: GetEnd, Subject: "dtl", Detail: tier, Node: producerNode, Node2: consumerNode, Value: float64(bytes)})
 }
 
 // FlowStart records a transfer joining the fabric.
@@ -333,7 +350,7 @@ func (r *Recorder) FlowStart(link string, src, dst int, bytes float64) {
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, Event{T: r.now(), Kind: FlowStart, Subject: link, Node: src, Node2: dst, Value: bytes})
+	r.record(Event{T: r.now(), Kind: FlowStart, Subject: link, Node: src, Node2: dst, Value: bytes})
 }
 
 // FlowEnd records a transfer leaving the fabric; delivered is the bytes
@@ -342,7 +359,7 @@ func (r *Recorder) FlowEnd(link string, src, dst int, delivered float64) {
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, Event{T: r.now(), Kind: FlowEnd, Subject: link, Node: src, Node2: dst, Value: delivered})
+	r.record(Event{T: r.now(), Kind: FlowEnd, Subject: link, Node: src, Node2: dst, Value: delivered})
 }
 
 // Gauge samples the named quantity on the subject.
@@ -350,7 +367,7 @@ func (r *Recorder) Gauge(subject, name string, node int, value float64) {
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, Event{T: r.now(), Kind: GaugeSet, Subject: subject, Detail: name, Node: node, Node2: NoNode, Value: value})
+	r.record(Event{T: r.now(), Kind: GaugeSet, Subject: subject, Detail: name, Node: node, Node2: NoNode, Value: value})
 	if r.sink != nil {
 		r.sink.Gauge(subject, name, node, value)
 	}
@@ -364,7 +381,7 @@ func (r *Recorder) Fault(subject, kind string, node int, value float64) {
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, Event{T: r.now(), Kind: FaultInject, Subject: subject, Detail: kind, Node: node, Node2: NoNode, Value: value})
+	r.record(Event{T: r.now(), Kind: FaultInject, Subject: subject, Detail: kind, Node: node, Node2: NoNode, Value: value})
 }
 
 // Retry records a staging retry scheduled for component after a transient
@@ -373,7 +390,7 @@ func (r *Recorder) Retry(component, stage string, node, attempt int) {
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, Event{T: r.now(), Kind: RetryAttempt, Subject: component, Detail: stage, Node: node, Node2: NoNode, Value: float64(attempt)})
+	r.record(Event{T: r.now(), Kind: RetryAttempt, Subject: component, Detail: stage, Node: node, Node2: NoNode, Value: float64(attempt)})
 }
 
 // Restart records a component restarting after a crash fault; n counts the
@@ -382,7 +399,7 @@ func (r *Recorder) Restart(component string, node, n int) {
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, Event{T: r.now(), Kind: ComponentRestart, Subject: component, Node: node, Node2: NoNode, Value: float64(n)})
+	r.record(Event{T: r.now(), Kind: ComponentRestart, Subject: component, Node: node, Node2: NoNode, Value: float64(n)})
 }
 
 // Count samples the cumulative value of the named monotonic counter
@@ -393,7 +410,7 @@ func (r *Recorder) Count(name string, total float64) {
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, Event{T: r.now(), Kind: CounterSet, Subject: name, Node: NoNode, Node2: NoNode, Value: total})
+	r.record(Event{T: r.now(), Kind: CounterSet, Subject: name, Node: NoNode, Node2: NoNode, Value: total})
 	if r.sink != nil {
 		r.sink.Count(name, total)
 	}
@@ -405,5 +422,5 @@ func (r *Recorder) MemberDropped(member int, cause string) {
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, Event{T: r.now(), Kind: MemberDrop, Subject: fmt.Sprintf("m%d", member), Detail: cause, Node: NoNode, Node2: NoNode, Value: float64(member)})
+	r.record(Event{T: r.now(), Kind: MemberDrop, Subject: fmt.Sprintf("m%d", member), Detail: cause, Node: NoNode, Node2: NoNode, Value: float64(member)})
 }

@@ -138,3 +138,29 @@ func TestRecorderForwardsToSink(t *testing.T) {
 		t.Error("cleared sink still received forwards")
 	}
 }
+
+// TestSinkRecorderKeepsNoEvents pins the sink-only recorder a long-lived
+// service bridges its counters through: every counter, queue-depth, and
+// gauge emission reaches the sink, and no emission of any kind is kept.
+func TestSinkRecorderKeepsNoEvents(t *testing.T) {
+	s := &fakeSink{
+		counts: map[string]float64{},
+		queues: map[string]int{},
+		gauges: map[string]float64{},
+	}
+	r := NewSinkRecorder(s)
+	for i := 1; i <= 1000; i++ {
+		r.Count("campaign.submitted", float64(i))
+		r.QueueDepth("campaign.queue", i%7)
+		r.Gauge("campaign", "running", NoNode, float64(i%3))
+		r.StageBegin("m0.sim", "S", 0)
+		r.Emit(Event{Kind: ProcStart, Subject: "m0.sim"})
+	}
+	if s.counts["campaign.submitted"] != 1000 || s.queues["campaign.queue"] != 1000%7 ||
+		s.gauges["campaign/running"] != 1000%3 {
+		t.Errorf("sink saw counts %v queues %v gauges %v", s.counts, s.queues, s.gauges)
+	}
+	if n := len(r.Events()); n != 0 || r.Len() != 0 {
+		t.Fatalf("sink-only recorder kept %d events", n)
+	}
+}

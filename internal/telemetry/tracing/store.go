@@ -23,7 +23,7 @@ type traceEntry struct {
 }
 
 // DefaultMaxTraces bounds retained traces when NewStore is given 0.
-const DefaultMaxTraces = 1024
+const DefaultMaxTraces = 128
 
 // DefaultMaxSpansPerTrace bounds spans per trace when NewStore is given 0.
 const DefaultMaxSpansPerTrace = 8192
