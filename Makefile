@@ -55,11 +55,14 @@ pool-smoke:
 
 # perfbench-smoke vets and tests the benchmark module, which is its own
 # Go module (so `go test ./...` here never compiles it against API
-# changes), then runs one short traced warm-resubmit campaign loop. That
-# run enforces the benchmark's correctness and shape gates, not timings.
+# changes), then runs one short traced campaign loop of warm-resubmit
+# (cache hits only) and of cold-sweep (every job executes, so the DES
+# span bridge runs inside a real server). The runs enforce the
+# benchmark's correctness and shape gates, not timings.
 perfbench-smoke:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	bash perfbench/run.sh --workload warm-resubmit --seed 1 --seconds 3 --trace 1
+	bash perfbench/run.sh --workload cold-sweep --seed 1 --seconds 3 --trace 1
 
 cover:
 	$(GO) test -cover ./...

@@ -131,7 +131,7 @@ func main() {
 		pprofOn     = flag.Bool("pprof", false, "expose GET /debug/pprof/* runtime profiles")
 		noTrace     = flag.Bool("no-trace", false, "disable distributed tracing")
 		traceTraces = flag.Int("trace-traces", 0, "max retained traces (0 = default 128)")
-		traceSpans  = flag.Int("trace-spans", 0, "max retained spans per trace (0 = default 8192)")
+		traceSpans  = flag.Int("trace-spans", 0, "max retained spans per trace (0 = default 8192); DES detail spans use at most half of it")
 		nodeID      = flag.String("node-id", "", "pool identity of this node (enables the fabric; default: the bound listen address)")
 		advertise   = flag.String("advertise", "", "base URL peers reach this node at (enables the fabric; default: http://<bound address>)")
 		join        = flag.String("join", "", "comma-separated seed peer base URLs to join (enables the fabric)")

@@ -89,47 +89,58 @@ func runSpec(spec JobSpec, rec *obs.Recorder, h execHints) (*trace.EnsembleTrace
 // Execute; the recorder never alters the simulation itself — the trace
 // stays byte-identical (see TestSimulatedRecorderBitIdentical).
 func executeTraced(ctx context.Context, tracer *tracing.Tracer, spec JobSpec) (*Result, error) {
-	res, _, err := executeTracedHinted(ctx, tracer, spec, execHints{})
+	res, _, _, err := executeTracedHinted(ctx, tracer, spec, execHints{})
 	return res, err
 }
 
 // executeTracedHinted is executeTraced with execution hints applied. The
 // execute span additionally records members.parallelism (the effective
-// degree, 0 = joint path) and des.fastpath; fast-path runs dispatch no
-// DES events, so there is no obs stream to bridge into child spans.
-func executeTracedHinted(ctx context.Context, tracer *tracing.Tracer, spec JobSpec, h execHints) (*Result, runtime.RunInfo, error) {
+// degree, 0 = joint path), des.fastpath, and des.bridged (whether the
+// DES subtree was stored). The recorder is attached only while the
+// trace has subtree room (tracing.Tracer.SubtreeRoom): once the trace's
+// budget for DES detail is spent the run takes exactly the untraced
+// path, and only the service spans and the affine map are recorded.
+// Fast-path runs dispatch no DES events, so there is nothing to bridge.
+// unbridged reports a traced DES run whose subtree was not stored.
+func executeTracedHinted(ctx context.Context, tracer *tracing.Tracer, spec JobSpec, h execHints) (res *Result, info runtime.RunInfo, unbridged bool, err error) {
 	span := tracing.SpanFromContext(ctx)
 	if tracer == nil || !span.Recording() {
-		return executeHinted(spec, h)
+		res, info, err = executeHinted(spec, h)
+		return res, info, false, err
 	}
 	hash, err := spec.Hash()
 	if err != nil {
-		return nil, runtime.RunInfo{}, err
+		return nil, runtime.RunInfo{}, false, err
 	}
-	rec := obs.NewRecorder(nil)
+	var rec *obs.Recorder
+	if tracer.SubtreeRoom(span.Context()) > 0 {
+		rec = obs.NewRecorder(nil)
+	}
 	anchor := time.Now()
 	tr, info, err := runSpec(spec, rec, h)
 	wallSec := time.Since(anchor).Seconds()
 	if err != nil {
-		span.SetAttr(tracing.Float("des.makespanSec", 0))
-		return nil, info, err
+		span.SetAttr(tracing.Float("des.makespanSec", 0), tracing.Bool("des.bridged", false))
+		return nil, info, false, err
 	}
 	makespan := tr.Makespan()
 	scale := 1.0
 	if makespan > 0 && wallSec > 0 {
 		scale = wallSec / makespan
 	}
+	bridged := false
+	if rec != nil && !info.FastPath {
+		bridged = obs.BridgeSpans(tracer, span.Context(), rec.Events(), anchor, scale) > 0
+	}
 	span.SetAttr(
 		tracing.Int64("des.anchorUnixNano", anchor.UnixNano()),
 		tracing.Float("des.scale", scale),
 		tracing.Float("des.makespanSec", makespan),
 		tracing.Int("members.parallelism", info.MemberParallelism),
-		tracing.Bool("des.fastpath", info.FastPath))
-	if !info.FastPath {
-		obs.BridgeSpans(tracer, span.Context(), rec.Events(), anchor, scale)
-	}
-	res, err := derive(hash, spec.Placement, tr)
-	return res, info, err
+		tracing.Bool("des.fastpath", info.FastPath),
+		tracing.Bool("des.bridged", bridged))
+	res, err = derive(hash, spec.Placement, tr)
+	return res, info, !info.FastPath && !bridged, err
 }
 
 // fpVerifyTol is the relative tolerance of the fast-path cross-check.

@@ -423,6 +423,7 @@ type serviceMetrics struct {
 	journalCompact *telemetry.Counter
 	fastpathHits   *telemetry.Counter
 	fastpathVerify *telemetry.Counter
+	desUnbridged   *telemetry.Counter
 	coreSeconds    *telemetry.CounterVec // by component class and busy/idle state
 	coreSaved      *telemetry.CounterVec // by serving tier
 }
@@ -490,6 +491,8 @@ func newServiceMetrics(r *telemetry.Registry) serviceMetrics {
 			"Jobs answered by the closed-form steady-state fast path."),
 		fastpathVerify: r.Counter("campaign_fastpath_verified_total",
 			"Fast-path hits that passed the DES cross-check."),
+		desUnbridged: r.Counter("campaign_des_unbridged_total",
+			"Traced DES runs stored without their span subtree because the trace's DES detail budget was spent."),
 		coreSeconds: r.CounterVec("campaign_core_seconds_total",
 			"Simulated core-seconds of jobs executed on this node, by component class and busy/idle state.",
 			"class", "state"),
@@ -613,7 +616,10 @@ func (s *Service) defaultRun(ctx context.Context, spec JobSpec) (*Result, error)
 		fastPath: s.cfg.FastPath,
 		verify:   s.cfg.VerifyFastPath,
 	}
-	res, info, err := executeTracedHinted(ctx, s.cfg.Tracer, spec, h)
+	res, info, unbridged, err := executeTracedHinted(ctx, s.cfg.Tracer, spec, h)
+	if unbridged {
+		s.metrics.desUnbridged.Inc()
+	}
 	if err != nil {
 		if ctx.Err() == nil {
 			// A simulated run is a pure function of its spec: an identical

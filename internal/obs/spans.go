@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"time"
@@ -26,14 +25,32 @@ type interval struct {
 	attrs      []tracing.Attr
 }
 
+// stageKey pairs a stage end with its begin: one component's stage.
+type stageKey struct{ subject, stage string }
+
+// dtlKey pairs a DTL end with its begin: same op, tier, and endpoints.
+type dtlKey struct {
+	get         bool
+	tier        string
+	node, node2 int
+}
+
+// dtlName names a DTL span: its op and tier.
+type dtlName struct {
+	get  bool
+	tier string
+}
+
 // BridgeSpans converts events into spans under parent using tr,
 // mapping virtual seconds t to anchor + scale·t. Component spans
 // (proc-start/end) become parents of their stage spans; DTL, flow, and
 // fault events become direct children of parent. Unclosed begins are
-// closed at the stream horizon. Returns the number of spans recorded;
-// a nil tracer records nothing.
+// closed at the stream horizon. The spans are stored as one subtree,
+// whole or not at all (see tracing.Subtree), and nothing is built when
+// parent's trace has no subtree room left. Returns the number of spans
+// stored; a nil tracer stores nothing.
 func BridgeSpans(tr *tracing.Tracer, parent tracing.SpanContext, events []Event, anchor time.Time, scale float64) int {
-	if tr == nil || len(events) == 0 {
+	if tr == nil || len(events) == 0 || tr.SubtreeRoom(parent) == 0 {
 		return 0
 	}
 	if scale <= 0 {
@@ -44,39 +61,67 @@ func BridgeSpans(tr *tracing.Tracer, parent tracing.SpanContext, events []Event,
 	}
 
 	horizon := 0.0
+	var nComps, nStages, nRest int
 	for _, ev := range events {
 		if ev.T > horizon {
 			horizon = ev.T
 		}
+		switch ev.Kind {
+		case ProcStart:
+			nComps++
+		case StageBegin:
+			nStages++
+		case PutBegin, GetBegin, FlowStart, FaultInject, RetryAttempt, ComponentRestart, MemberDrop:
+			nRest++
+		}
 	}
 
-	var comps, stages, rest []interval
-	compOpen := map[string]int{}    // subject -> index into comps (open)
-	stageOpen := map[string][]int{} // subject+"\xff"+stage -> stack of open stage indices
-	pairOpen := map[string][]int{}  // dtl/flow pairing key -> FIFO of open rest indices
-
-	openComp := func(subject string, t float64, node int) {
-		compOpen[subject] = len(comps)
-		comps = append(comps, interval{name: subject, kind: "component", subject: subject,
-			start: t, end: -1, attrs: []tracing.Attr{tracing.Int("node", node)}})
+	comps := make([]interval, 0, nComps)
+	stages := make([]interval, 0, nStages)
+	rest := make([]interval, 0, nRest)
+	compOpen := map[string]int{}      // subject -> index into comps (open)
+	stageOpen := map[stageKey][]int{} // stack of open stage indices
+	dtlOpen := map[dtlKey][]int{}     // FIFO of open DTL indices into rest
+	flowOpen := map[string][]int{}    // link -> FIFO of open flow indices into rest
+	stageKinds := map[string]string{} // stage -> "stage:"+stage, built once
+	dtlNames := map[dtlName]string{}  // op+":"+tier, built once
+	// Every interval's attributes share one backing array: 1 per
+	// component, 2 per stage plus a slot for bytes, 2 per other span.
+	attrBuf := make([]tracing.Attr, 0, nComps+3*nStages+2*nRest)
+	attrs := func(spare int, as ...tracing.Attr) []tracing.Attr {
+		i := len(attrBuf)
+		attrBuf = append(attrBuf, as...)
+		j := len(attrBuf)
+		for range spare {
+			attrBuf = append(attrBuf, tracing.Attr{})
+		}
+		return attrBuf[i : j : j+spare]
 	}
+
 	for _, ev := range events {
 		switch ev.Kind {
 		case ProcStart:
-			openComp(ev.Subject, ev.T, ev.Node)
+			compOpen[ev.Subject] = len(comps)
+			comps = append(comps, interval{name: ev.Subject, kind: "component", subject: ev.Subject,
+				start: ev.T, end: -1, attrs: attrs(0, tracing.Int("node", ev.Node))})
 		case ProcEnd:
 			if i, ok := compOpen[ev.Subject]; ok {
 				comps[i].end = ev.T
 				delete(compOpen, ev.Subject)
 			}
 		case StageBegin:
-			key := ev.Subject + "\xff" + ev.Detail
+			kind, ok := stageKinds[ev.Detail]
+			if !ok {
+				kind = "stage:" + ev.Detail
+				stageKinds[ev.Detail] = kind
+			}
+			key := stageKey{ev.Subject, ev.Detail}
 			stageOpen[key] = append(stageOpen[key], len(stages))
-			stages = append(stages, interval{name: ev.Detail, kind: "stage:" + ev.Detail,
+			stages = append(stages, interval{name: ev.Detail, kind: kind,
 				subject: ev.Subject, start: ev.T, end: -1,
-				attrs: []tracing.Attr{tracing.String("component", ev.Subject), tracing.Int("node", ev.Node)}})
+				attrs: attrs(1, tracing.String("component", ev.Subject), tracing.Int("node", ev.Node))})
 		case StageEnd:
-			key := ev.Subject + "\xff" + ev.Detail
+			key := stageKey{ev.Subject, ev.Detail}
 			if st := stageOpen[key]; len(st) > 0 {
 				i := st[len(st)-1]
 				stageOpen[key] = st[:len(st)-1]
@@ -86,38 +131,36 @@ func BridgeSpans(tr *tracing.Tracer, parent tracing.SpanContext, events []Event,
 				}
 			}
 		case PutBegin, GetBegin:
-			op := "put"
-			if ev.Kind == GetBegin {
-				op = "get"
+			get := ev.Kind == GetBegin
+			kind := "dtl:put"
+			if get {
+				kind = "dtl:get"
 			}
-			key := fmt.Sprintf("dtl\xff%s\xff%s\xff%d\xff%d", op, ev.Detail, ev.Node, ev.Node2)
-			pairOpen[key] = append(pairOpen[key], len(rest))
-			rest = append(rest, interval{name: op + ":" + ev.Detail, kind: "dtl:" + op,
+			name, ok := dtlNames[dtlName{get, ev.Detail}]
+			if !ok {
+				name = kind[len("dtl:"):] + ":" + ev.Detail
+				dtlNames[dtlName{get, ev.Detail}] = name
+			}
+			key := dtlKey{get, ev.Detail, ev.Node, ev.Node2}
+			dtlOpen[key] = append(dtlOpen[key], len(rest))
+			rest = append(rest, interval{name: name, kind: kind,
 				start: ev.T, end: -1,
-				attrs: []tracing.Attr{tracing.String("tier", ev.Detail), tracing.Float("bytes", ev.Value)}})
+				attrs: attrs(0, tracing.String("tier", ev.Detail), tracing.Float("bytes", ev.Value))})
 		case PutEnd, GetEnd:
-			op := "put"
-			if ev.Kind == GetEnd {
-				op = "get"
-			}
-			key := fmt.Sprintf("dtl\xff%s\xff%s\xff%d\xff%d", op, ev.Detail, ev.Node, ev.Node2)
-			if q := pairOpen[key]; len(q) > 0 {
-				i := q[0]
-				pairOpen[key] = q[1:]
-				rest[i].end = ev.T
+			key := dtlKey{ev.Kind == GetEnd, ev.Detail, ev.Node, ev.Node2}
+			if q := dtlOpen[key]; len(q) > 0 {
+				dtlOpen[key] = q[1:]
+				rest[q[0]].end = ev.T
 			}
 		case FlowStart:
-			key := "flow\xff" + ev.Subject
-			pairOpen[key] = append(pairOpen[key], len(rest))
+			flowOpen[ev.Subject] = append(flowOpen[ev.Subject], len(rest))
 			rest = append(rest, interval{name: ev.Subject, kind: "net:flow",
 				start: ev.T, end: -1,
-				attrs: []tracing.Attr{tracing.String("link", ev.Subject), tracing.Float("bytes", ev.Value)}})
+				attrs: attrs(0, tracing.String("link", ev.Subject), tracing.Float("bytes", ev.Value))})
 		case FlowEnd:
-			key := "flow\xff" + ev.Subject
-			if q := pairOpen[key]; len(q) > 0 {
-				i := q[0]
-				pairOpen[key] = q[1:]
-				rest[i].end = ev.T
+			if q := flowOpen[ev.Subject]; len(q) > 0 {
+				flowOpen[ev.Subject] = q[1:]
+				rest[q[0]].end = ev.T
 			}
 		case FaultInject, RetryAttempt, ComponentRestart, MemberDrop:
 			name := ev.Kind.String()
@@ -126,7 +169,7 @@ func BridgeSpans(tr *tracing.Tracer, parent tracing.SpanContext, events []Event,
 			}
 			rest = append(rest, interval{name: name, kind: "fault",
 				start: ev.T, end: ev.T,
-				attrs: []tracing.Attr{tracing.String("subject", ev.Subject), tracing.Float("value", ev.Value)}})
+				attrs: attrs(0, tracing.String("subject", ev.Subject), tracing.Float("value", ev.Value))})
 		}
 	}
 
@@ -144,28 +187,25 @@ func BridgeSpans(tr *tracing.Tracer, parent tracing.SpanContext, events []Event,
 	// Emit components first so their contexts exist to parent the
 	// stages; a stage whose component never emitted proc events hangs
 	// directly off the parent.
-	n := 0
-	compCtx := map[string]tracing.SpanContext{}
+	sub := tr.NewSubtree(parent, len(comps)+len(stages)+len(rest))
+	compCtx := make(map[string]tracing.SpanContext, len(comps))
 	for _, c := range comps {
-		sc := tr.SpanAt(parent, c.name, c.kind, wall(c.start), wall(c.end), c.attrs...)
+		sc := sub.SpanAt(parent, c.name, c.kind, wall(c.start), wall(c.end), c.attrs...)
 		if _, dup := compCtx[c.subject]; !dup {
 			compCtx[c.subject] = sc
 		}
-		n++
 	}
 	for _, s := range stages {
 		p, ok := compCtx[s.subject]
 		if !ok {
 			p = parent
 		}
-		tr.SpanAt(p, s.name, s.kind, wall(s.start), wall(s.end), s.attrs...)
-		n++
+		sub.SpanAt(p, s.name, s.kind, wall(s.start), wall(s.end), s.attrs...)
 	}
 	for _, r := range rest {
-		tr.SpanAt(parent, r.name, r.kind, wall(r.start), wall(r.end), r.attrs...)
-		n++
+		sub.SpanAt(parent, r.name, r.kind, wall(r.start), wall(r.end), r.attrs...)
 	}
-	return n
+	return sub.Commit()
 }
 
 // serviceSpanKinds are the span kinds merged into the Perfetto export;

@@ -7,7 +7,13 @@ import "sync"
 // most maxSpansPerTrace spans per trace (later spans dropped, counted).
 // Whole-trace eviction keeps every retained trace internally complete —
 // a partially evicted trace would break critical-path extraction.
-// A nil *Store drops everything. Safe for concurrent use.
+//
+// Pre-timed subtrees (the DES detail the obs bridge replays under a
+// job's execute span) are stored whole or not at all, and together may
+// fill at most half of maxSpansPerTrace; the other half stays free for
+// the live service spans. The first subtree a trace refuses closes that
+// trace's subtree budget, so later jobs skip building detail that could
+// not be stored. A nil *Store drops everything. Safe for concurrent use.
 type Store struct {
 	mu               sync.Mutex
 	maxTraces        int
@@ -20,6 +26,8 @@ type Store struct {
 type traceEntry struct {
 	spans   []SpanData
 	dropped int
+	subtree int  // spans stored through addSubtree
+	closed  bool // a subtree was refused: no further subtrees are taken
 }
 
 // DefaultMaxTraces bounds retained traces when NewStore is given 0.
@@ -44,14 +52,10 @@ func NewStore(maxTraces, maxSpansPerTrace int) *Store {
 	}
 }
 
-// add appends a completed span to its trace, applying both bounds.
-func (st *Store) add(d SpanData) {
-	if st == nil || !d.TraceID.IsValid() {
-		return
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	e := st.traces[d.TraceID]
+// entryLocked returns the trace's entry, creating it (and evicting the
+// oldest traces past maxTraces) when absent; st.mu held.
+func (st *Store) entryLocked(id TraceID) *traceEntry {
+	e := st.traces[id]
 	if e == nil {
 		for len(st.order) >= st.maxTraces {
 			oldest := st.order[0]
@@ -59,15 +63,72 @@ func (st *Store) add(d SpanData) {
 			delete(st.traces, oldest)
 		}
 		e = &traceEntry{}
-		st.traces[d.TraceID] = e
-		st.order = append(st.order, d.TraceID)
+		st.traces[id] = e
+		st.order = append(st.order, id)
 	}
+	return e
+}
+
+// add appends a completed span to its trace, applying both bounds.
+func (st *Store) add(d SpanData) {
+	if st == nil || !d.TraceID.IsValid() {
+		return
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	e := st.entryLocked(d.TraceID)
 	if len(e.spans) >= st.maxSpansPerTrace {
 		e.dropped++
 		st.dropped++
 		return
 	}
 	e.spans = append(e.spans, d)
+}
+
+// roomLocked is how many more subtree spans trace e may take: the rest
+// of the subtree half of the cap, limited by the total cap; 0 once the
+// budget has closed. A nil e is a trace with nothing stored yet.
+func (st *Store) roomLocked(e *traceEntry) int {
+	budget := st.maxSpansPerTrace / 2
+	if e == nil {
+		return budget
+	}
+	if e.closed {
+		return 0
+	}
+	return max(0, min(budget-e.subtree, st.maxSpansPerTrace-len(e.spans)))
+}
+
+// subtreeRoom reports how many subtree spans trace id may still take.
+func (st *Store) subtreeRoom(id TraceID) int {
+	if st == nil || !id.IsValid() {
+		return 0
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.roomLocked(st.traces[id])
+}
+
+// addSubtree stores every span of a subtree in trace id, or none of
+// them: a subtree larger than the trace's remaining room is refused,
+// its spans are counted as dropped, and the trace's subtree budget
+// closes. Reports whether the spans were stored.
+func (st *Store) addSubtree(id TraceID, spans []SpanData) bool {
+	if st == nil || !id.IsValid() {
+		return false
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	e := st.entryLocked(id)
+	if len(spans) > st.roomLocked(e) {
+		e.closed = true
+		e.dropped += len(spans)
+		st.dropped += uint64(len(spans))
+		return false
+	}
+	e.spans = append(e.spans, spans...)
+	e.subtree += len(spans)
+	return true
 }
 
 // Spans returns a copy of every retained span of the trace, in
@@ -86,7 +147,8 @@ func (st *Store) Spans(id TraceID) []SpanData {
 	return append([]SpanData(nil), e.spans...)
 }
 
-// Dropped returns the total spans dropped by the per-trace cap.
+// Dropped returns the total spans dropped by the per-trace cap or in
+// refused subtrees.
 func (st *Store) Dropped() uint64 {
 	if st == nil {
 		return 0

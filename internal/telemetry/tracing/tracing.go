@@ -345,23 +345,51 @@ func (t *Tracer) StartSpan(ctx context.Context, name, kind string, attrs ...Attr
 	return ContextWithSpan(ctx, s), s
 }
 
-// SpanAt records a completed span with caller-supplied timestamps under
-// an explicit parent, returning its context. It is the bridge entry
-// point: obs events (virtual clock) are replayed as finished spans with
-// wall-clock times mapped by the caller. A nil tracer records nothing
-// and returns the zero context.
-func (t *Tracer) SpanAt(parent SpanContext, name, kind string, start, end time.Time, attrs ...Attr) SpanContext {
+// SubtreeRoom reports how many pre-timed spans a Subtree under sc may
+// still store in sc's trace: the rest of the trace's subtree budget
+// (half its span cap), or 0 once the budget has closed. Callers use it
+// to skip producing detail that the store would refuse. A nil tracer
+// has no room.
+func (t *Tracer) SubtreeRoom(sc SpanContext) int {
 	if t == nil {
+		return 0
+	}
+	return t.store.subtreeRoom(sc.TraceID)
+}
+
+// Subtree buffers completed spans with caller-supplied timestamps under
+// one parent and stores them in a single all-or-nothing Commit. It is
+// the bridge entry point: obs events (virtual clock) are replayed as
+// finished spans with wall-clock times mapped by the caller. Methods on
+// a nil *Subtree are no-ops. Not safe for concurrent use.
+type Subtree struct {
+	tracer *Tracer
+	trace  TraceID
+	spans  []SpanData
+}
+
+// NewSubtree starts a subtree in parent's trace, with room for sizeHint
+// spans before it grows; a parent without a trace has no subtree room,
+// so Commit stores nothing. A nil tracer returns a nil subtree.
+func (t *Tracer) NewSubtree(parent SpanContext, sizeHint int) *Subtree {
+	if t == nil {
+		return nil
+	}
+	return &Subtree{tracer: t, trace: parent.TraceID, spans: make([]SpanData, 0, max(sizeHint, 0))}
+}
+
+// SpanAt buffers a completed span under parent (the subtree's parent or
+// a context SpanAt returned earlier) and returns its context. A nil
+// subtree records nothing and returns the zero context.
+func (s *Subtree) SpanAt(parent SpanContext, name, kind string, start, end time.Time, attrs ...Attr) SpanContext {
+	if s == nil {
 		return SpanContext{}
 	}
 	if end.Before(start) {
 		end = start
 	}
-	sc := SpanContext{TraceID: parent.TraceID, SpanID: t.newSpanID()}
-	if !sc.TraceID.IsValid() {
-		sc.TraceID = t.newTraceID()
-	}
-	t.store.add(SpanData{
+	sc := SpanContext{TraceID: s.trace, SpanID: s.tracer.newSpanID()}
+	s.spans = append(s.spans, SpanData{
 		TraceID: sc.TraceID,
 		SpanID:  sc.SpanID,
 		Parent:  parent.SpanID,
@@ -372,6 +400,23 @@ func (t *Tracer) SpanAt(parent SpanContext, name, kind string, start, end time.T
 		Attrs:   attrs,
 	})
 	return sc
+}
+
+// Commit stores every buffered span, or none when they exceed the
+// trace's remaining subtree room (which closes the trace's subtree
+// budget and counts the spans in Store.Dropped), and empties the
+// buffer. Returns the number of spans stored.
+func (s *Subtree) Commit() int {
+	if s == nil || len(s.spans) == 0 {
+		return 0
+	}
+	n := len(s.spans)
+	ok := s.tracer.store.addSubtree(s.trace, s.spans)
+	s.spans = nil
+	if !ok {
+		return 0
+	}
+	return n
 }
 
 type ctxKey int

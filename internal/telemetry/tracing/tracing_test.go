@@ -65,8 +65,18 @@ func TestNilSafety(t *testing.T) {
 	if s.Recording() {
 		t.Fatal("nil span claims to record")
 	}
-	if tr.SpanAt(SpanContext{}, "x", "k", time.Now(), time.Now()).IsValid() {
-		t.Fatal("nil tracer SpanAt returned a valid context")
+	if tr.SubtreeRoom(SpanContext{}) != 0 {
+		t.Fatal("nil tracer reports subtree room")
+	}
+	sub := tr.NewSubtree(SpanContext{}, 4)
+	if sub != nil {
+		t.Fatal("nil tracer returned a non-nil subtree")
+	}
+	if sub.SpanAt(SpanContext{}, "x", "k", time.Now(), time.Now()).IsValid() {
+		t.Fatal("nil subtree SpanAt returned a valid context")
+	}
+	if sub.Commit() != 0 {
+		t.Fatal("nil subtree committed spans")
 	}
 	var st *Store
 	if st.Spans(TraceID{1}) != nil || st.Len() != 0 || st.Dropped() != 0 {
@@ -153,8 +163,18 @@ func TestSpanAtBridgesUnderParent(t *testing.T) {
 	_, root := tr.StartSpan(context.Background(), "exec", "execute")
 	t0 := root.Context()
 	base := time.Unix(100, 0)
-	comp := tr.SpanAt(t0, "sim[0]", "component", base, base.Add(2*time.Second))
-	tr.SpanAt(comp, "S", "stage:S", base, base.Add(time.Second))
+	sub := tr.NewSubtree(t0, 2)
+	comp := sub.SpanAt(t0, "sim[0]", "component", base, base.Add(2*time.Second))
+	sub.SpanAt(comp, "S", "stage:S", base, base.Add(time.Second))
+	if n := len(tr.Store().Spans(t0.TraceID)); n != 0 {
+		t.Fatalf("%d spans stored before Commit", n)
+	}
+	if n := sub.Commit(); n != 2 {
+		t.Fatalf("Commit stored %d spans, want 2", n)
+	}
+	if n := sub.Commit(); n != 0 {
+		t.Fatalf("second Commit stored %d spans, want 0", n)
+	}
 	root.End()
 	spans := tr.Store().Spans(t0.TraceID)
 	if len(spans) != 3 {
@@ -170,10 +190,11 @@ func TestStoreBounds(t *testing.T) {
 	tr := NewTracer(st)
 	var traces []TraceID
 	for i := 0; i < 3; i++ {
-		_, s := tr.StartSpan(context.Background(), "root", "server")
+		ctx, s := tr.StartSpan(context.Background(), "root", "server")
 		traces = append(traces, s.Context().TraceID)
 		for k := 0; k < 5; k++ {
-			tr.SpanAt(s.Context(), "c", "job", time.Unix(0, 0), time.Unix(1, 0))
+			_, c := tr.StartSpan(ctx, "c", "job")
+			c.End()
 		}
 		s.End()
 	}
@@ -190,6 +211,140 @@ func TestStoreBounds(t *testing.T) {
 	}
 	if st.Dropped() == 0 {
 		t.Fatal("dropped counter not advanced")
+	}
+}
+
+// subtreeOf builds an uncommitted subtree of n flat spans under parent.
+func subtreeOf(tr *Tracer, parent SpanContext, n int) *Subtree {
+	sub := tr.NewSubtree(parent, n)
+	base := time.Unix(100, 0)
+	for i := 0; i < n; i++ {
+		sub.SpanAt(parent, "c", "component", base, base.Add(time.Second))
+	}
+	return sub
+}
+
+func TestSubtreeEvictsOldestTrace(t *testing.T) {
+	st := NewStore(2, 0)
+	tr := NewTracer(st)
+	var traces []TraceID
+	for i := 0; i < 3; i++ {
+		_, s := tr.StartSpan(context.Background(), "exec", "execute")
+		traces = append(traces, s.Context().TraceID)
+		if n := subtreeOf(tr, s.Context(), 4).Commit(); n != 4 {
+			t.Fatalf("trace %d: Commit stored %d spans, want 4", i, n)
+		}
+	}
+	if st.Len() != 2 {
+		t.Fatalf("store retained %d traces, want 2 (FIFO bound)", st.Len())
+	}
+	if st.Spans(traces[0]) != nil {
+		t.Fatal("oldest trace not evicted")
+	}
+	for _, id := range traces[1:] {
+		if n := len(st.Spans(id)); n != 4 {
+			t.Fatalf("trace retained %d spans, want 4", n)
+		}
+	}
+}
+
+func TestSubtreeBudget(t *testing.T) {
+	const limit = 10 // subtrees may fill 5
+	st := NewStore(0, limit)
+	tr := NewTracer(st)
+	ctx, root := tr.StartSpan(context.Background(), "job", "job")
+	sc := root.Context()
+	if got := tr.SubtreeRoom(sc); got != limit/2 {
+		t.Fatalf("fresh trace room %d, want %d", got, limit/2)
+	}
+
+	// Whole: a subtree that fits is stored entire.
+	if n := subtreeOf(tr, sc, 3).Commit(); n != 3 {
+		t.Fatalf("fitting subtree stored %d spans, want 3", n)
+	}
+	if got := tr.SubtreeRoom(sc); got != 2 {
+		t.Fatalf("room after 3 of 5: %d, want 2", got)
+	}
+	// Or nothing: 3 more would pass half the cap, so none is stored.
+	if n := subtreeOf(tr, sc, 3).Commit(); n != 0 {
+		t.Fatalf("oversized subtree stored %d spans, want 0", n)
+	}
+	if n := len(st.Spans(sc.TraceID)); n != 3 {
+		t.Fatalf("trace holds %d spans after the refusal, want 3", n)
+	}
+	if got := st.Dropped(); got != 3 {
+		t.Fatalf("Dropped = %d, want the 3 refused spans", got)
+	}
+	// The refusal closes the budget: even a subtree that would fit the
+	// remaining 2 is refused, and counted.
+	if got := tr.SubtreeRoom(sc); got != 0 {
+		t.Fatalf("room after a refusal: %d, want 0", got)
+	}
+	if n := subtreeOf(tr, sc, 1).Commit(); n != 0 {
+		t.Fatalf("subtree after the budget closed stored %d spans", n)
+	}
+	if got := st.Dropped(); got != 4 {
+		t.Fatalf("Dropped = %d, want 4", got)
+	}
+
+	// StartSpan spans still fill the rest of the cap.
+	for i := 0; i < limit; i++ {
+		_, s := tr.StartSpan(ctx, "queue", "queue")
+		s.End()
+	}
+	root.End()
+	spans := st.Spans(sc.TraceID)
+	if len(spans) != limit {
+		t.Fatalf("trace holds %d spans, want the cap %d", len(spans), limit)
+	}
+	kinds := map[string]int{}
+	for _, d := range spans {
+		kinds[d.Kind]++
+	}
+	if kinds["component"] != 3 || kinds["queue"] != limit-3 {
+		t.Fatalf("span kinds %v, want 3 subtree spans and the rest live spans", kinds)
+	}
+}
+
+func TestSubtreeNeverExceedsHalfCap(t *testing.T) {
+	const limit = 64
+	st := NewStore(0, limit)
+	tr := NewTracer(st)
+	_, root := tr.StartSpan(context.Background(), "job", "job")
+	sc := root.Context()
+	stored := 0
+	for tr.SubtreeRoom(sc) > 0 {
+		stored += subtreeOf(tr, sc, 7).Commit()
+	}
+	if stored > limit/2 {
+		t.Fatalf("subtrees stored %d spans, more than half of the cap %d", stored, limit)
+	}
+	if stored != 28 {
+		t.Fatalf("subtrees stored %d spans, want 4 whole subtrees of 7", stored)
+	}
+	if n := len(st.Spans(sc.TraceID)); n != stored {
+		t.Fatalf("trace holds %d spans, want %d", n, stored)
+	}
+}
+
+func TestSubtreeRoomRespectsTotalCap(t *testing.T) {
+	const limit = 8
+	st := NewStore(0, limit)
+	tr := NewTracer(st)
+	ctx, root := tr.StartSpan(context.Background(), "job", "job")
+	for i := 0; i < limit-2; i++ {
+		_, s := tr.StartSpan(ctx, "queue", "queue")
+		s.End()
+	}
+	// Live spans took all but 2 slots, under the subtree half of 4.
+	if got := tr.SubtreeRoom(root.Context()); got != 2 {
+		t.Fatalf("room %d, want the 2 slots left under the total cap", got)
+	}
+	if n := subtreeOf(tr, root.Context(), 3).Commit(); n != 0 {
+		t.Fatalf("subtree past the total cap stored %d spans", n)
+	}
+	if n := len(st.Spans(root.Context().TraceID)); n != limit-2 {
+		t.Fatalf("trace holds %d spans, want %d", n, limit-2)
 	}
 }
 
@@ -293,9 +448,11 @@ func TestWriteOTLPDeterministic(t *testing.T) {
 	tr := newTestTracer()
 	_, root := tr.StartSpan(context.Background(), "root", "server")
 	base := time.Unix(50, 0)
+	sub := tr.NewSubtree(root.Context(), 5)
 	for i := 0; i < 5; i++ {
-		tr.SpanAt(root.Context(), "c", "job", base.Add(time.Duration(i)*time.Second), base.Add(time.Duration(i+1)*time.Second))
+		sub.SpanAt(root.Context(), "c", "job", base.Add(time.Duration(i)*time.Second), base.Add(time.Duration(i+1)*time.Second))
 	}
+	sub.Commit()
 	root.End()
 	spans := tr.Store().Spans(root.Context().TraceID)
 	var a, b bytes.Buffer
